@@ -206,7 +206,8 @@ TEST(EngineInvariants, LineNeverInSliceAndVictimSimultaneously) {
   L3Fabric& l3 = m.l3(0);
   for (std::uint64_t line = 0; line < 4096; ++line) {
     const bool in_slice = l3.slice(0).contains(line);
-    const bool in_victim = l3.victim_store().contains(line);
+    const CacheLevel* victim = l3.victim_store();
+    const bool in_victim = victim != nullptr && victim->contains(line);
     EXPECT_FALSE(in_slice && in_victim) << "line " << line;
   }
 }

@@ -78,9 +78,77 @@ TEST(Machine, SetActiveCoresChangesVictimCapacityImmediately) {
   Machine m(MachineConfig::summit());
   m.set_noise_enabled(false);
   m.set_active_cores(0, 1);
-  EXPECT_GT(m.l3(0).victim_store().capacity_lines(), 0u);
+  EXPECT_GT(m.l3(0).victim_capacity_lines(), 0u);
   m.set_active_cores(0, m.cores_per_socket());
-  EXPECT_EQ(m.l3(0).victim_store().capacity_lines(), 0u);
+  EXPECT_EQ(m.l3(0).victim_capacity_lines(), 0u);
+}
+
+/// Sweep 12 MiB (2.4x the summit slice) through socket 0, core 0: enough
+/// capacity misses to cast out into the victim store.
+void lone_core_spill(Machine& m) {
+  LoopDesc loop;
+  loop.iterations = (12ull << 20) / 8;
+  loop.streams = {{1ull << 30, 8, 8, AccessKind::Load}};
+  m.engine(0, 0).execute(loop);
+}
+
+/// Bytes of tag and dirty state behind a cache of `lines` lines.
+std::uint64_t state_bytes(std::uint64_t lines) {
+  return lines * (sizeof(std::uint64_t) + sizeof(std::uint8_t));
+}
+
+std::uint64_t cache_state_bytes(Machine& m) {
+  std::uint64_t total = 0;
+  for (std::uint32_t s = 0; s < m.sockets(); ++s) {
+    for (std::uint32_t c = 0; c < m.cores_per_socket(); ++c) {
+      total += state_bytes(m.l3(s).slice(c).capacity_lines());
+      if (const CacheLevel* v = m.l3(s).victim_store(c)) {
+        total += state_bytes(v->capacity_lines());
+      }
+    }
+  }
+  return total;
+}
+
+TEST(Machine, VictimPartitionIsBuiltOnFirstCastOut) {
+  Machine m(MachineConfig::summit());
+  m.set_noise_enabled(false);
+  for (std::uint32_t s = 0; s < m.sockets(); ++s) {
+    for (std::uint32_t c = 0; c < m.cores_per_socket(); ++c) {
+      EXPECT_EQ(m.l3(s).victim_store(c), nullptr) << s << "/" << c;
+    }
+  }
+  // A lone core holds capacity for idle cores' slices...
+  m.set_active_cores(0, 1);
+  const std::uint64_t want = m.l3(0).victim_capacity_lines(0);
+  EXPECT_EQ(want, static_cast<std::uint64_t>(m.cores_per_socket() - 1) *
+                      m.config().l3_slice_bytes / m.config().line_bytes);
+  EXPECT_EQ(m.l3(0).victim_store(0), nullptr);
+  // ...but only its spill builds exactly that one partition.
+  lone_core_spill(m);
+  ASSERT_NE(m.l3(0).victim_store(0), nullptr);
+  EXPECT_EQ(m.l3(0).victim_store(0)->capacity_lines(), want);
+  EXPECT_GT(m.l3(0).victim_store(0)->valid_lines(), 0u);
+  for (std::uint32_t s = 0; s < m.sockets(); ++s) {
+    for (std::uint32_t c = s == 0 ? 1 : 0; c < m.cores_per_socket(); ++c) {
+      EXPECT_EQ(m.l3(s).victim_store(c), nullptr) << s << "/" << c;
+    }
+  }
+  // Reconfiguring drops the partition again.
+  m.set_active_cores(0, 1);
+  EXPECT_EQ(m.l3(0).victim_store(0), nullptr);
+}
+
+// Gate for the "no 600 MB per Machine" invariant: the simulated cache state
+// of a summit Machine stays under 64 MB, also after a lone-core spill.
+TEST(Machine, SummitCacheStateStaysUnder64MB) {
+  constexpr std::uint64_t kLimit = 64ull << 20;
+  Machine m(MachineConfig::summit());
+  m.set_noise_enabled(false);
+  EXPECT_LT(cache_state_bytes(m), kLimit);
+  m.set_active_cores(0, 1);
+  lone_core_spill(m);
+  EXPECT_LT(cache_state_bytes(m), kLimit);
 }
 
 }  // namespace
