@@ -12,6 +12,7 @@
 #include "kernels/runner.hpp"
 #include "pcp/client.hpp"
 #include "pcp/pmcd.hpp"
+#include "testing/machine_builder.hpp"
 
 namespace papisim::kernels {
 namespace {
@@ -196,6 +197,40 @@ TEST(KernelRunner, BatchedRejectsMoreThreadsThanCores) {
   opt.batched = true;
   opt.threads = 99;
   EXPECT_THROW(runner.measure([](std::uint32_t) {}, opt), Error);
+}
+
+TEST(KernelRunner, RepeatedLoneCoreSpillMeasureIsIdentical) {
+  // A lone-core measurement that spills into the victim store must not
+  // depend on what ran before it on the same Machine: every measure resets
+  // the partitions and their retention sequence.
+  const auto machine = test_support::MachineBuilder::knee()
+                           .store_bypass(false)
+                           .castout_retention(0.5)
+                           .quiet();
+  Library lib;
+  lib.register_component(std::make_unique<components::PerfNestComponent>(
+      *machine, machine->user_credentials()));
+  KernelRunner runner(*machine, lib, "perf_nest", 0);
+  // 2.5x the 64 KiB slice, swept twice: the second sweep recovers from
+  // the victim store, partly lost to retention misses.
+  const std::uint64_t elems = 10 * 1024;
+  const sim::LoopDesc copy = test_support::copy_loop(
+      elems, machine->address_space().allocate(elems * 8),
+      machine->address_space().allocate(elems * 8));
+  const auto measure = [&] {
+    return runner.measure(
+        [&](std::uint32_t core) {
+          machine->engine(0, core).execute(copy);
+          machine->engine(0, core).execute(copy);
+        },
+        RunnerOptions{});
+  };
+  const std::uint64_t misses0 = machine->l3(0).victim_retention_misses();
+  const Measurement first = measure();
+  EXPECT_GT(machine->l3(0).victim_retention_misses(), misses0);
+  const Measurement second = measure();
+  EXPECT_EQ(first.read_bytes, second.read_bytes);
+  EXPECT_EQ(first.write_bytes, second.write_bytes);
 }
 
 }  // namespace
