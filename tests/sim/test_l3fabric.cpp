@@ -117,6 +117,42 @@ TEST(L3Fabric, DirtyCastOutPreservedAndWrittenBackEventually) {
   EXPECT_EQ(f.mem.total_bytes(MemDir::Write), slice_lines * 64);
 }
 
+/// Load fresh lines on core 0 until `line` leaves its slice (cast out).
+void evict_from_slice(Fixture& f, std::uint64_t line) {
+  for (std::uint64_t l = 1000; f.l3.slice(0).contains(line); ++l) {
+    f.l3.load_line(0, l);
+  }
+}
+
+TEST(L3Fabric, DirtyLineRecoveredFromVictimStoreIsWrittenBackOnce) {
+  Fixture f;  // retention = 1.0
+  f.l3.set_active_cores(1);
+  f.l3.store_line(0, 7);
+  evict_from_slice(f, 7);
+  ASSERT_NE(f.l3.victim_store(0), nullptr);
+  EXPECT_TRUE(f.l3.victim_store(0)->contains(7));
+  EXPECT_EQ(f.l3.load_line(0, 7), L3Fabric::Source::VictimHit);
+  EXPECT_EQ(f.mem.total_bytes(MemDir::Write), 0u);
+  f.l3.flush_all();
+  // The store's data reaches memory exactly once.
+  EXPECT_EQ(f.mem.total_bytes(MemDir::Write), 64u);
+}
+
+TEST(L3Fabric, DirtyLineLostToRetentionMissIsWrittenBack) {
+  Fixture f(small_config(0.0));  // every recovery fails
+  f.l3.set_active_cores(1);
+  f.l3.store_line(0, 7);
+  evict_from_slice(f, 7);
+  const std::uint64_t reads = f.mem.total_bytes(MemDir::Read);
+  EXPECT_EQ(f.l3.load_line(0, 7), L3Fabric::Source::Memory);
+  EXPECT_EQ(f.l3.victim_retention_misses(), 1u);
+  EXPECT_EQ(f.mem.total_bytes(MemDir::Read), reads + 64);
+  EXPECT_EQ(f.mem.total_bytes(MemDir::Write), 64u);
+  // The re-read copy is clean: the flush writes nothing more.
+  f.l3.flush_all();
+  EXPECT_EQ(f.mem.total_bytes(MemDir::Write), 64u);
+}
+
 TEST(L3Fabric, CastOutWithoutVictimCapacityWritesBackDirtyLines) {
   Fixture f;
   f.l3.set_active_cores(4);  // no victim capacity
